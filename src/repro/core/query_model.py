@@ -15,7 +15,15 @@ from functools import lru_cache
 from typing import Iterable
 
 from repro.errors import PlanningError, UnsupportedQueryError
-from repro.rdf.terms import IRI, Term, TermOrVar, Variable
+from repro.rdf.terms import (
+    IRI,
+    Interned,
+    Term,
+    TermOrVar,
+    Variable,
+    intern_instance,
+    interned,
+)
 from repro.rdf.triples import TriplePattern
 from repro.sparql.ast import (
     AggregateExpr,
@@ -32,18 +40,31 @@ from repro.sparql.expressions import (
 )
 
 
-@dataclass(frozen=True)
-class PropKey:
+@interned
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class PropKey(Interned):
     """The paper's notion of a star-pattern "property".
 
     For ordinary triple patterns this is just the property IRI.  For
     ``rdf:type`` patterns with a concrete class the key also carries the
     class (the paper writes ``ty18`` for ``rdf:type PT18``): Definition
     3.1 requires type objects to agree for stars to overlap.
+
+    Hash-consed like the terms it is built from: equal keys are one
+    object (see :class:`repro.rdf.terms.Interned`).
     """
 
     property: IRI
     type_object: Term | None = None
+
+    def __new__(cls, property: IRI, type_object: Term | None = None) -> "PropKey":
+        key = (property, type_object)
+        ref = _PROP_KEY_REFS.get(key)
+        if ref is not None:
+            prop_key = ref()
+            if prop_key is not None:
+                return prop_key
+        return intern_instance(cls, key, key)
 
     def short(self) -> str:
         name = self.property.local_name()
@@ -53,6 +74,9 @@ class PropKey:
 
     def __str__(self) -> str:
         return self.short()
+
+
+_PROP_KEY_REFS = PropKey._instances.data
 
 
 @lru_cache(maxsize=None)

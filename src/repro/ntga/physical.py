@@ -220,7 +220,9 @@ def shared_prefilters(subqueries: Sequence[CanonicalSubquery]) -> tuple:
     common = set(subqueries[0].filters)
     for subquery in subqueries[1:]:
         common &= set(subquery.filters)
-    return tuple(common)
+    # Keep the first subquery's filter order: set order follows the
+    # filters' hashes, which are identity-based once terms are interned.
+    return tuple(dict.fromkeys(f for f in subqueries[0].filters if f in common))
 
 
 # ---------------------------------------------------------------------------

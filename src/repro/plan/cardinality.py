@@ -210,7 +210,9 @@ class CardinalityEstimator:
         for _key, selectivity in ordered:
             groups *= selectivity
         expansion = 1.0
-        for key in star.required_props():
+        # Float products depend on order; a frozenset's order does not
+        # survive a change of hash seed or of allocation addresses.
+        for key in sorted(star.required_props(), key=str):
             if key.type_object is None:
                 expansion *= max(1.0, self.avg_fanout(key.property))
         classes = self.star_classes(composite_star.p_prim)

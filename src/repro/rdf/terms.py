@@ -1,13 +1,18 @@
 """RDF term types: IRIs, literals, blank nodes, and query variables.
 
-Terms are immutable, hashable value objects.  Literals carry an optional
-datatype IRI or language tag and expose a :meth:`Literal.python_value`
-conversion used by SPARQL expression evaluation and aggregation.
+Terms are immutable, hash-consed value objects: each constructor returns
+the single live instance for its value, so equal terms are the same
+object and every dict or set keyed on terms hashes and compares by
+identity, in C.  Literals carry an optional datatype IRI or language tag
+and expose a :meth:`Literal.python_value` conversion used by SPARQL
+expression evaluation and aggregation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 from repro.errors import RDFError
@@ -15,10 +20,78 @@ from repro.errors import RDFError
 #: Hidden per-instance cache slot shared by the term dataclasses below.
 #: Terms are immutable value objects, so derived values (serialized-size
 #: estimates, interned sort keys) are computed once and pinned to the
-#: instance; the field is excluded from __init__/__repr__/__eq__/__hash__
-#: so the public value semantics are unchanged.  See docs/performance.md.
+#: instance; the field is no constructor argument and is excluded from
+#: __repr__, so the public value semantics are unchanged.  See
+#: docs/performance.md.
 def _cache_slot():
     return field(default=None, init=False, repr=False, compare=False)
+
+
+# -- hash-consing ---------------------------------------------------------------
+#
+# Every value class below keeps one weak-valued table from its value key
+# to the single live instance.  Its ``__new__`` reads the table's backing
+# dict without a lock (a dict lookup plus a weakref call); only a miss
+# validates, takes the lock, re-checks and publishes, so threads racing
+# to build the same value agree on one instance.  A value nothing references
+# any more drops out of its table.  Nothing may build an instance except
+# through the class constructor: equality *is* identity.
+
+_INTERN_LOCK = threading.Lock()
+
+
+class Interned:
+    """Base of the hash-consed value classes.
+
+    Subclasses are ``frozen``, ``slots``, ``init=False``, ``eq=False``
+    dataclasses finished by :func:`interned`; their ``__new__`` looks the
+    value key up in ``cls._instances.data`` and falls back to
+    :func:`intern_instance`.  Without a dataclass ``__eq__``/``__hash__``
+    they inherit ``object``'s identity comparison and hash.  The base
+    supplies the weakref slot the tables need (a base-class slot works on
+    Python 3.10, where dataclasses lack ``weakref_slot``), and routes
+    ``pickle``, ``copy`` and ``deepcopy`` back through the constructor.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self._init_fields))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def interned(cls: type) -> type:
+    """Class decorator: give an :class:`Interned` dataclass its instance
+    table and record which of its fields the constructor sets and which
+    are cache slots."""
+    cls._instances = weakref.WeakValueDictionary()
+    cls._init_fields = tuple(f.name for f in fields(cls) if f.init)
+    cls._cache_defaults = tuple((f.name, f.default) for f in fields(cls) if not f.init)
+    return cls
+
+
+def intern_instance(cls: type, key, values: tuple):
+    """The miss path of an interning ``__new__``: build the instance for
+    *key* from the init-field *values* and publish it, unless another
+    thread published one first.  Never re-initializes a published
+    instance, so its cache slots survive re-construction."""
+    table = cls._instances
+    with _INTERN_LOCK:
+        instance = table.get(key)
+        if instance is None:
+            instance = object.__new__(cls)
+            for name, value in zip(cls._init_fields, values):
+                object.__setattr__(instance, name, value)
+            for name, value in cls._cache_defaults:
+                object.__setattr__(instance, name, value)
+            table[key] = instance
+    return instance
+
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 XSD_INTEGER = XSD + "integer"
@@ -43,18 +116,24 @@ _NUMERIC_DATATYPES = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class IRI:
+@interned
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class IRI(Interned):
     """An IRI reference, e.g. ``IRI("http://example.org/p1")``."""
 
     value: str
     _size: int | None = _cache_slot()
     _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    def __new__(cls, value: str) -> "IRI":
+        ref = _IRI_REFS.get(value)
+        if ref is not None:
+            term = ref()
+            if term is not None:
+                return term
+        if not value:
             raise RDFError("IRI value must be a non-empty string")
+        return intern_instance(cls, value, (value,))
 
     def n3(self) -> str:
         """Render in N-Triples / SPARQL surface syntax."""
@@ -71,18 +150,24 @@ class IRI:
         return self.n3()
 
 
-@dataclass(frozen=True, slots=True)
-class BNode:
+@interned
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class BNode(Interned):
     """A blank node with a local label, e.g. ``BNode("b0")``."""
 
     label: str
     _size: int | None = _cache_slot()
     _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __new__(cls, label: str) -> "BNode":
+        ref = _BNODE_REFS.get(label)
+        if ref is not None:
+            term = ref()
+            if term is not None:
+                return term
+        if not label:
             raise RDFError("BNode label must be a non-empty string")
+        return intern_instance(cls, label, (label,))
 
     def n3(self) -> str:
         return f"_:{self.label}"
@@ -91,8 +176,9 @@ class BNode:
         return self.n3()
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+@interned
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class Literal(Interned):
     """An RDF literal with optional datatype or language tag.
 
     Exactly one of ``datatype`` / ``language`` may be set.  Plain literals
@@ -104,11 +190,19 @@ class Literal:
     language: str | None = None
     _size: int | None = _cache_slot()
     _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+    def __new__(
+        cls, lexical: str, datatype: str | None = None, language: str | None = None
+    ) -> "Literal":
+        key = (lexical, datatype, language)
+        ref = _LITERAL_REFS.get(key)
+        if ref is not None:
+            term = ref()
+            if term is not None:
+                return term
+        if datatype is not None and language is not None:
             raise RDFError("a literal cannot have both a datatype and a language tag")
+        return intern_instance(cls, key, key)
 
     @classmethod
     def from_python(cls, value: Union[int, float, bool, str]) -> "Literal":
@@ -170,20 +264,26 @@ class Literal:
         return self.n3()
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
+@interned
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class Variable(Interned):
     """A SPARQL query variable, e.g. ``Variable("price")`` for ``?price``."""
 
     name: str
     _size: int | None = _cache_slot()
     _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str) -> "Variable":
+        ref = _VARIABLE_REFS.get(name)
+        if ref is not None:
+            term = ref()
+            if term is not None:
+                return term
+        if not name:
             raise RDFError("variable name must be non-empty")
-        if self.name.startswith("?") or self.name.startswith("$"):
+        if name.startswith("?") or name.startswith("$"):
             raise RDFError("variable name must not include the '?'/'$' sigil")
+        return intern_instance(cls, name, (name,))
 
     def n3(self) -> str:
         return f"?{self.name}"
@@ -192,55 +292,12 @@ class Variable:
         return self.n3()
 
 
-# -- memoized hashing ---------------------------------------------------------
-#
-# Terms are hashed constantly: graph indexes, VP-table grouping, shuffle
-# key grouping, and solution dicts all key on them.  The dataclass-
-# generated __hash__ rebuilds a field tuple on every call; the overrides
-# below compute the same value once and pin it in the ``_hash`` slot.
-# Hash values are identical to the generated implementation's, and
-# nothing in the simulator iterates in hash order (the graph and all
-# grouping dicts are insertion-ordered), so simulated output cannot
-# change.  Assigned after the class bodies because @dataclass(frozen=True)
-# installs its generated __hash__ over anything defined inline.
-
-
-def _iri_hash(self: IRI) -> int:
-    value = self._hash
-    if value is None:
-        value = hash((self.value,))
-        object.__setattr__(self, "_hash", value)
-    return value
-
-
-def _bnode_hash(self: BNode) -> int:
-    value = self._hash
-    if value is None:
-        value = hash((self.label,))
-        object.__setattr__(self, "_hash", value)
-    return value
-
-
-def _literal_hash(self: Literal) -> int:
-    value = self._hash
-    if value is None:
-        value = hash((self.lexical, self.datatype, self.language))
-        object.__setattr__(self, "_hash", value)
-    return value
-
-
-def _variable_hash(self: Variable) -> int:
-    value = self._hash
-    if value is None:
-        value = hash((self.name,))
-        object.__setattr__(self, "_hash", value)
-    return value
-
-
-IRI.__hash__ = _iri_hash
-BNode.__hash__ = _bnode_hash
-Literal.__hash__ = _literal_hash
-Variable.__hash__ = _variable_hash
+# The interning constructors' lock-free fast path reads the tables'
+# backing dicts directly.
+_IRI_REFS = IRI._instances.data
+_BNODE_REFS = BNode._instances.data
+_LITERAL_REFS = Literal._instances.data
+_VARIABLE_REFS = Variable._instances.data
 
 
 # A concrete RDF term (something that can appear in data).

@@ -58,8 +58,9 @@ class Triple:
 
 def _triple_hash(self: Triple) -> int:
     """Memoized hash, identical in value to the dataclass-generated one
-    (which would re-hash all three components — each itself a Python-level
-    ``__hash__`` call — on every graph-index or grouping-dict lookup)."""
+    (which would rebuild and re-hash the component tuple on every
+    graph-index or grouping-dict lookup).  The components are interned
+    terms, so the value is identity-based within one process."""
     value = self._hash
     if value is None:
         value = hash((self.subject, self.property, self.object))

@@ -1,5 +1,8 @@
 """Unit tests for the analytical query model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.query_model import (
@@ -42,6 +45,20 @@ class TestPropKey:
     def test_unbound_property_rejected(self):
         with pytest.raises(UnsupportedQueryError):
             prop_key_of(tp(S, Variable("p"), O))
+
+    def test_interned(self):
+        typed = PropKey(RDF_TYPE, IRI("urn:C"))
+        assert PropKey(P1) is PropKey(property=P1)
+        assert PropKey(P1) is PropKey(P1, None)
+        assert typed is PropKey(property=RDF_TYPE, type_object=IRI("urn:C"))
+        assert typed is not PropKey(RDF_TYPE)
+        assert prop_key_of(tp(S, P1, O)) is PropKey(P1)
+        for key in (PropKey(P1), typed):
+            assert pickle.loads(pickle.dumps(key)) is key
+            assert copy.copy(key) is key
+            assert copy.deepcopy(key) is key
+        assert PropKey.__eq__ is object.__eq__
+        assert PropKey.__hash__ is object.__hash__
 
 
 class TestStarPattern:

@@ -151,6 +151,24 @@ class TestSharedPrefilters:
         plan = build_composite(query.subqueries[0], query.subqueries[1])
         assert shared_prefilters(plan.subqueries) == ()
 
+    def test_keeps_the_first_subquerys_filter_order(self):
+        """Set order follows hashes (identity hashes once terms are
+        interned); the pushed filters must follow the query text."""
+        bounds = [7, 3, 11, 1, 9, 5, 13, 2]
+        first = " ".join(f"FILTER(?x > {bound})" for bound in bounds)
+        second = " ".join(f"FILTER(?y > {bound})" for bound in reversed(bounds))
+        query = parse_analytical(
+            f"""
+            PREFIX ex: <http://ex.org/>
+            SELECT ?a ?b {{
+              {{ SELECT (COUNT(?x) AS ?a) {{ ?s ex:p ?x . {first} }} }}
+              {{ SELECT (COUNT(?y) AS ?b) {{ ?t ex:p ?y . {second} }} }}
+            }}
+            """
+        )
+        plan = build_composite(query.subqueries[0], query.subqueries[1])
+        assert shared_prefilters(plan.subqueries) == plan.subqueries[0].filters
+
 
 class TestJoinSteps:
     def test_mg1_single_step(self, composite):

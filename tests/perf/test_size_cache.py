@@ -119,6 +119,15 @@ def test_structurally_equal_triplegroups_report_equal_sizes(group):
     assert copy.props() == group.props()
 
 
+@settings(max_examples=100)
+@given(st.one_of(_iris, _bnodes, _literals, _variables))
+def test_term_sizes_pin_on_first_estimate(term):
+    """Every term kind pins its size, so the hive executor's direct
+    ``_size`` reads skip the estimator on repeat visits."""
+    size = estimate_size(term)
+    assert term._size == size == _reference_estimate_size(term)
+
+
 def test_mutable_estimated_size_objects_are_never_cached():
     """Records whose estimated_size can change (accumulators) must be
     re-sized on every call — the dispatch table may not pin them."""

@@ -8,19 +8,23 @@ The hypothesis test below checks that promise against brute force over
 randomly shaped graphs.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engines import make_engine, to_analytical
+from repro.core.query_model import StarPattern, prop_key_of
 from repro.core.results import EngineConfig
 from repro.mapreduce.hdfs import HDFS
+from repro.ntga.composite import CompositeStar
 from repro.ntga.physical import load_triplegroups
 from repro.plan import CardinalityEstimator
 from repro.rdf.graph import Graph
 from repro.rdf.stats import profile
-from repro.rdf.terms import IRI, Literal
-from repro.rdf.triples import RDF_TYPE, Triple
+from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.triples import RDF_TYPE, Triple, TriplePattern
 
 N_PROPS = 4
 
@@ -129,3 +133,58 @@ class TestClassSelectivityFloor:
         assert choice is not None
         for candidate in choice.candidates:
             assert candidate.total_cost > 0.0
+
+
+class _PatternOrderSet(frozenset):
+    """A frozenset that iterates in construction order: stands in for the
+    different set orders other hash seeds or allocation addresses give,
+    which one process cannot produce on demand."""
+
+    def __new__(cls, items):
+        items = list(items)
+        self = super().__new__(cls, items)
+        self.order = items
+        return self
+
+    def __iter__(self):
+        return iter(self.order)
+
+
+class TestStarEstimateOrderIndependent:
+    def test_permuted_patterns_give_bit_identical_floats(self, monkeypatch):
+        """``expansion`` is a float product over the star's properties;
+        it must not follow the iteration order of the property set."""
+        monkeypatch.setattr(
+            StarPattern,
+            "required_props",
+            lambda star: _PatternOrderSet(prop_key_of(p) for p in star.patterns),
+        )
+        n_props = 6
+        graph = Graph()
+        for index in range(7):
+            subject = IRI(f"urn:s{index}")
+            for p in range(n_props):
+                for value in range(1 + (index * (p + 1)) % 4):
+                    graph.add(
+                        Triple(subject, IRI(f"urn:p{p}"), Literal.from_python(value))
+                    )
+        estimator = CardinalityEstimator(
+            profile(graph), load_triplegroups(graph, HDFS())
+        )
+        subject = Variable("s")
+        patterns = [
+            TriplePattern(subject, IRI(f"urn:p{p}"), Variable(f"v{p}"))
+            for p in range(n_props)
+        ]
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(40):
+            permuted = patterns[:]
+            rng.shuffle(permuted)
+            star = StarPattern(subject, tuple(permuted))
+            composite = CompositeStar(
+                pattern=star, p_prim=star.required_props(), p_sec=frozenset()
+            )
+            estimate = estimator.star_estimate(composite, 0)
+            seen.add((estimate.groups.hex(), estimate.expansion.hex()))
+        assert len(seen) == 1
